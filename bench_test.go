@@ -8,7 +8,7 @@ package sccg_test
 //	go test -bench=. -benchmem
 //
 // regenerates every result. cmd/bench prints the same experiments as full
-// paper-style tables; EXPERIMENTS.md records paper-vs-measured values.
+// paper-style tables.
 
 import (
 	"sync"

@@ -12,11 +12,13 @@ package sccg_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net"
 	"net/http"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -246,7 +248,7 @@ func TestClusterEndToEnd(t *testing.T) {
 			}
 		}
 		return sccg.NewService(sccg.ServiceOptions{
-			Devices:   1,
+			Scheduler: sccg.SchedulerConfig{Devices: 1},
 			Store:     st,
 			Peers:     peers,
 			Advertise: addrs[i],
@@ -269,7 +271,7 @@ func TestClusterEndToEnd(t *testing.T) {
 		for i := 0; i < n; i++ {
 			if alive[i] {
 				srvs[i].Close()
-				svcs[i].Close()
+				svcs[i].Shutdown(context.Background())
 			}
 		}
 	}()
@@ -279,8 +281,8 @@ func TestClusterEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline := sccg.NewService(sccg.ServiceOptions{Devices: 1, Store: baseSt})
-	defer baseline.Close()
+	baseline := sccg.NewService(sccg.ServiceOptions{Scheduler: sccg.SchedulerConfig{Devices: 1}, Store: baseSt})
+	defer baseline.Shutdown(context.Background())
 	baseLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -384,7 +386,9 @@ func TestClusterEndToEnd(t *testing.T) {
 	// Phase 4: restart node B (same dir, same address). Its in-memory cache
 	// is gone; the repeat matrix must still cost zero jobs anywhere — local
 	// persisted entries plus the cluster-wide read-through cover every cell.
-	svcs[1].Close()
+	if err := svcs[1].Shutdown(context.Background()); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
 	svcs[1] = newSvc(1)
 	handlers[1].Store(svcs[1].Handler())
 	before = submittedSum(svcs, alive)
@@ -527,7 +531,9 @@ func TestClusterEndToEnd(t *testing.T) {
 		t.Fatalf("degrade matrix submit = %d", code)
 	}
 	srvs[2].Close()
-	svcs[2].Close()
+	if err := svcs[2].Shutdown(context.Background()); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
 	alive[2] = false
 	deadline := time.Now().Add(5 * time.Minute)
 	for kill.State == "running" {
@@ -541,6 +547,50 @@ func TestClusterEndToEnd(t *testing.T) {
 		t.Fatalf("matrix with a dead peer ended %s: %+v", kill.State, kill.Cells)
 	}
 	sameMatrix(t, "matrix with a dead peer", kill, baseMx2)
+
+	// Phase 8: a federation refresh does not outlive Shutdown. A restarted
+	// B has never scraped, so its /healthz kicks a background scrape of
+	// every peer; A holds that scrape open. B's Shutdown must wait for it.
+	if err := svcs[1].Shutdown(context.Background()); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	svcs[1] = newSvc(1)
+	handlers[1].Store(svcs[1].Handler())
+	scraped := make(chan struct{})
+	release := make(chan struct{})
+	var scrapeOnce, releaseOnce sync.Once
+	defer releaseOnce.Do(func() { close(release) })
+	realA := handlers[0].Load().(http.Handler)
+	holdA := http.NewServeMux() // the stored handlers are all muxes
+	holdA.Handle("/", realA)
+	holdA.HandleFunc("/internal/metrics", func(w http.ResponseWriter, r *http.Request) {
+		scrapeOnce.Do(func() { close(scraped) })
+		<-release
+		realA.ServeHTTP(w, r)
+	})
+	handlers[0].Store(holdA)
+	clusterGet(t, addrs[1]+"/healthz", nil)
+	select {
+	case <-scraped:
+	case <-time.After(time.Minute):
+		t.Fatal("B's /healthz never kicked a peer scrape")
+	}
+	shut := make(chan error, 1)
+	go func() { shut <- svcs[1].Shutdown(context.Background()) }()
+	select {
+	case err := <-shut:
+		t.Fatalf("B's Shutdown returned %v while its federation scrape was in flight", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	releaseOnce.Do(func() { close(release) })
+	select {
+	case err := <-shut:
+		if err != nil {
+			t.Fatalf("B's Shutdown = %v", err)
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("B's Shutdown did not return after its scrape finished")
+	}
 }
 
 func submittedSum(svcs []*sccg.Service, alive []bool) int64 {

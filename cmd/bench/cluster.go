@@ -11,6 +11,7 @@ package main
 // headline number: 0).
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"net/http"
@@ -33,7 +34,7 @@ func benchCluster(tiles int) (nodes []*benchNode, cleanup func(), err error) {
 	cleanup = func() {
 		for _, nd := range nodes {
 			nd.srv.Close()
-			nd.svc.Close()
+			nd.svc.Shutdown(context.Background())
 		}
 		for _, ln := range lns[len(nodes):] {
 			ln.Close()
@@ -70,7 +71,7 @@ func benchCluster(tiles int) (nodes []*benchNode, cleanup func(), err error) {
 			}
 		}
 		svc := sccg.NewService(sccg.ServiceOptions{
-			Devices:   1,
+			Scheduler: sccg.SchedulerConfig{Devices: 1},
 			Store:     st,
 			Peers:     peers,
 			Advertise: addrs[i],
@@ -141,8 +142,8 @@ func clusterRecords(short bool) ([]experimentRecord, error) {
 	if err != nil {
 		return nil, err
 	}
-	baseline := sccg.NewService(sccg.ServiceOptions{Devices: 1, Store: baseSt})
-	defer baseline.Close()
+	baseline := sccg.NewService(sccg.ServiceOptions{Scheduler: sccg.SchedulerConfig{Devices: 1}, Store: baseSt})
+	defer baseline.Shutdown(context.Background())
 
 	var ids []string
 	for seed := int64(1); seed <= 3; seed++ {

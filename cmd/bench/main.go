@@ -1,7 +1,5 @@
 // Command bench regenerates every table and figure of the paper's
 // evaluation section (§5) and prints the rows in the paper's layout.
-// EXPERIMENTS.md records the paper-reported values next to a captured run
-// of this tool.
 //
 //	bench                 # everything
 //	bench -only fig8      # a single experiment (fig2|fig7|fig8|fig9|fig10|table1|fig11|fig12|hybrid)

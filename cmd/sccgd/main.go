@@ -333,30 +333,37 @@ func run(ctx context.Context, args []string, onReady func(addr string)) error {
 	}
 
 	svc := sccg.NewService(sccg.ServiceOptions{
-		Devices:          *devices,
-		GPUsPerShard:     *gpusPer,
-		HybridCPU:        *hybrid,
-		Workers:          *workers,
-		Migration:        *migration,
-		MaxShards:        *shards,
-		QueueDepth:       *queue,
+		Scheduler: sccg.SchedulerConfig{
+			Devices:       *devices,
+			GPUsPerShard:  *gpusPer,
+			HybridCPU:     *hybrid,
+			Workers:       *workers,
+			Migration:     *migration,
+			MaxShards:     *shards,
+			QueueDepth:    *queue,
+			BandWeights:   weights,
+			AgingBoost:    *aging,
+			ReservedSlots: *reserveIA,
+		},
 		CacheSize:        *cache,
 		Store:            st,
-		StoreMaxBytes:    pol.MaxBytes,
-		StoreTTL:         pol.TTL,
-		CacheMaxEntries:  pol.CacheMaxEntries,
-		SweepInterval:    pol.SweepInterval,
+		Retention:        pol,
 		Peers:            peerList,
 		Advertise:        *advertise,
 		QuerylogMaxBytes: qlogBytes,
 		SlowQuery:        *slowQuery,
 		Tenants:          tenantCfg,
-		BandWeights:      weights,
-		AgingBoost:       *aging,
-		ReservedSlots:    *reserveIA,
 		QueuePinAge:      *pinAge,
 	})
-	defer svc.Close()
+	// Runs after the HTTP server has drained (below), so no request is
+	// still submitting work while the service stops.
+	defer func() {
+		shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := svc.Shutdown(shutCtx); err != nil {
+			logger.Warn("service shutdown", "error", err)
+		}
+	}()
 	if tenantCfg.Enabled() {
 		logger.Info("multi-tenant QoS active", "tenants", len(tenantCfg.Tenants))
 	}

@@ -10,6 +10,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -63,12 +64,12 @@ func main() {
 			}
 		}
 		svc := sccg.NewService(sccg.ServiceOptions{
-			Devices:   1,
+			Scheduler: sccg.SchedulerConfig{Devices: 1},
 			Store:     st,
 			Peers:     peers,
 			Advertise: addrs[i],
 		})
-		defer svc.Close()
+		defer svc.Shutdown(context.Background())
 		srv := &http.Server{Handler: svc.Handler()}
 		go srv.Serve(lns[i])
 		defer srv.Close()

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -30,8 +31,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	svc := sccg.NewService(sccg.ServiceOptions{Devices: 2, HybridCPU: true, Store: st})
-	defer svc.Close()
+	svc := sccg.NewService(sccg.ServiceOptions{Scheduler: sccg.SchedulerConfig{Devices: 2, HybridCPU: true}, Store: st})
+	defer svc.Shutdown(context.Background())
 
 	// Three segmentation runs over the same slide: identical tile keys
 	// (image name and tile indexes), different algorithm behaviour modelled

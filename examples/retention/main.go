@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -41,11 +42,11 @@ func main() {
 	budget := man.SegmentBytes*3 + man.SegmentBytes/2
 
 	svc := sccg.NewService(sccg.ServiceOptions{
-		Devices:       1,
-		Store:         st,
-		StoreMaxBytes: budget, // background sweeper owned by the service
+		Scheduler: sccg.SchedulerConfig{Devices: 1},
+		Store:     st,
+		Retention: sccg.RetentionPolicy{MaxBytes: budget}, // background sweeper owned by the service
 	})
-	defer svc.Close()
+	defer svc.Shutdown(context.Background())
 	fmt.Printf("byte budget %d (~3 datasets of %d bytes)\n\n", budget, man.SegmentBytes)
 
 	// Keep the first dataset pinned, as a queued/running job would: the

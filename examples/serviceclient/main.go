@@ -7,6 +7,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"log"
@@ -35,8 +36,8 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("serviceclient: ")
 
-	svc := sccg.NewService(sccg.ServiceOptions{Devices: 2, Migration: true})
-	defer svc.Close()
+	svc := sccg.NewService(sccg.ServiceOptions{Scheduler: sccg.SchedulerConfig{Devices: 2, Migration: true}})
+	defer svc.Shutdown(context.Background())
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

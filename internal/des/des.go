@@ -4,7 +4,7 @@
 // 580, an 8-core EC2 instance with two Tesla M2050s — that the reproduction
 // host does not have; package pipesim models those runs on this kernel using
 // service times calibrated from real single-core measurements and the GPU
-// simulator (see DESIGN.md §1).
+// simulator.
 //
 // Processes are goroutines that advance a shared virtual clock through
 // blocking primitives (Delay, Queue.Put/Get, Resource.Acquire). Exactly one

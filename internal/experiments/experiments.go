@@ -1,13 +1,12 @@
 // Package experiments contains one driver per table and figure of the
 // paper's evaluation (§5), shared by cmd/bench and the repository's
 // benchmark suite. Each driver returns a structured report whose rows mirror
-// the paper's presentation; EXPERIMENTS.md records paper-vs-measured values.
+// the paper's presentation.
 //
 // Time bases: CPU-side baselines (GEOS-style overlay, PixelBox-CPU, the
 // mini-SDBMS) are measured wall-clock on the host; GPU numbers are modelled
 // device seconds from the simulator; system-level schemes run on the
-// discrete-event model with service times calibrated from both (DESIGN.md
-// §1 documents the substitutions).
+// discrete-event model with service times calibrated from both.
 package experiments
 
 import (

@@ -1,6 +1,6 @@
 // Package gpu provides a SIMT GPU simulator: the hardware substitution that
 // lets this pure-Go reproduction run the paper's CUDA experiments without a
-// physical GPU (see DESIGN.md §1).
+// physical GPU.
 //
 // Kernels written against this package execute their real computation on the
 // host — results are bit-exact — while charging a calibrated cycle cost model

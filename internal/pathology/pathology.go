@@ -1,5 +1,5 @@
 // Package pathology is the segmentation simulator that substitutes for the
-// paper's proprietary brain-tumour whole-slide images (see DESIGN.md §1).
+// paper's proprietary brain-tumour whole-slide images.
 //
 // A whole-slide image is modelled as a set of image tiles. For each tile the
 // generator synthesises nucleus-like objects — noisy radial blobs rasterised

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/pipeline"
 )
 
 // queueJob builds a minimal queued job for white-box banded-queue tests.
@@ -175,14 +177,30 @@ func TestReservedSlotDequeuesInteractiveOnly(t *testing.T) {
 	}
 }
 
+// heldSource serves real tiles, but Task blocks until release is closed, so
+// a job over it stays running for as long as a test needs it to.
+type heldSource struct {
+	memSource
+	release chan struct{}
+}
+
+func (h heldSource) Task(i int) (pipeline.FileTask, error) {
+	<-h.release
+	return h.memSource.Task(i)
+}
+
 // startFiller submits a multi-tile job and blocks until it is running, so
-// subsequent submissions stay queued behind the busy slot.
+// subsequent submissions stay queued behind the busy slot. The filler holds
+// its slot until the test's cleanup; callers close the scheduler with a
+// t.Cleanup registered before this call, since Close waits for the filler.
 func startFiller(t *testing.T, s *Scheduler) string {
 	t.Helper()
-	id, err := s.Submit("filler", testTasks(t, 4))
+	src := heldSource{memSource: testTasks(t, 4), release: make(chan struct{})}
+	id, err := s.SubmitJob(src, JobOpts{Name: "filler"})
 	if err != nil {
 		t.Fatalf("submit filler: %v", err)
 	}
+	t.Cleanup(func() { close(src.release) })
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		st, ok := s.Job(id)
@@ -212,7 +230,7 @@ func TestTenantQueueQuotaExact(t *testing.T) {
 			return 0
 		},
 	})
-	defer s.Close()
+	t.Cleanup(s.Close)
 	startFiller(t, s)
 
 	tasks := testTasks(t, 1)
@@ -246,7 +264,7 @@ func TestTenantQueueQuotaRace(t *testing.T) {
 			return 0
 		},
 	})
-	defer s.Close()
+	t.Cleanup(s.Close)
 	startFiller(t, s)
 
 	tasks := testTasks(t, 1)
@@ -293,7 +311,7 @@ func TestCancelQueuedSemantics(t *testing.T) {
 			return 0
 		},
 	})
-	defer s.Close()
+	t.Cleanup(s.Close)
 	filler := startFiller(t, s)
 
 	tasks := testTasks(t, 1)

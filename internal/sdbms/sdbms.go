@@ -1,5 +1,5 @@
 // Package sdbms is a miniature spatial database engine standing in for the
-// paper's PostGIS/PostgreSQL baseline (see DESIGN.md §1).
+// paper's PostGIS/PostgreSQL baseline.
 //
 // Fidelity to the baseline's cost structure matters as much as to its
 // results. Like PostGIS, the engine stores geometries serialized (WKB) with

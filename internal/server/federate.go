@@ -140,8 +140,8 @@ func (f *federator) serveFederated(w http.ResponseWriter, r *http.Request) {
 
 // rollup is the /healthz federation block: per-peer scrape freshness from
 // the cache only — a liveness probe must not block on peer scrapes. It
-// kicks an async refresh when the cache has gone stale so a healthz-only
-// consumer still converges.
+// kicks an async refresh, which Shutdown waits for, when the cache has gone
+// stale so a healthz-only consumer still converges.
 func (f *federator) rollup() map[string]any {
 	f.mu.Lock()
 	stale := time.Since(f.gathered) >= fedStaleLimit
@@ -163,7 +163,7 @@ func (f *federator) rollup() map[string]any {
 	}
 	f.mu.Unlock()
 	if stale {
-		go f.gather()
+		f.srv.spawn(f.gather)
 	}
 	return map[string]any{
 		"nodes_federated": included,

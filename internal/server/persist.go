@@ -179,12 +179,15 @@ func (rd *reportDisk) len() int {
 }
 
 // put records the entry in memory and writes it to disk atomically (temp
-// file + rename, fsynced, like the store's manifests). The disk write runs
-// outside the lock — lookups must not stall behind an fsync — which is safe
-// because two concurrent puts of one key hold bit-identical reports (the
-// key is a content address), so either rename wins harmlessly. The
-// in-memory index is updated even when the write fails: the entry is still
-// valid for this process, it just won't survive a restart.
+// file + rename, fsynced, like the store's manifests). The temp file lives
+// beside the cache directory, not in it, so the directory only ever holds
+// complete entries — a concurrent boot over the same store never sees a
+// half-written one. The disk write runs outside the lock — lookups must
+// not stall behind an fsync — which is safe because two concurrent puts of
+// one key hold bit-identical reports (the key is a content address), so
+// either rename wins harmlessly. The in-memory index is updated even when
+// the write fails: the entry is still valid for this process, it just
+// won't survive a restart.
 func (rd *reportDisk) put(e *persistEntry) error {
 	raw, err := json.MarshalIndent(e, "", "  ")
 	if err != nil {
@@ -201,7 +204,7 @@ func (rd *reportDisk) put(e *persistEntry) error {
 		rd.enforceLocked(rd.max)
 	}
 	rd.mu.Unlock()
-	f, err := os.CreateTemp(rd.dir, "tmp-*")
+	f, err := os.CreateTemp(filepath.Dir(rd.dir), "cache-tmp-*")
 	if err != nil {
 		return fmt.Errorf("write cache entry: %w", err)
 	}

@@ -370,7 +370,7 @@ func TestInteractiveNotStarvedByMatrix(t *testing.T) {
 		t.Error(`metrics missing sccgd_job_queue_wait_seconds{band="interactive"} series`)
 	}
 
-	// Drain the matrix so Close doesn't race the flood.
+	// Drain the matrix so Shutdown doesn't race the flood.
 	deadline := time.Now().Add(2 * time.Minute)
 	for mst.State == "" || mst.State == "running" {
 		if time.Now().After(deadline) {

@@ -41,7 +41,7 @@
 // "cross" block. K-way matrix runs (POST /matrix) fan all pairwise cells
 // out through the same cache-aware submission path (see matrix.go).
 //
-// In clustered mode (Options.Cluster) the server additionally serves the
+// In clustered mode (Options.Peers) the server additionally serves the
 // peer-to-peer surface under /internal/ — dataset manifest/segment export,
 // cache probes, and remote cell execution — and the submission path gains
 // peer-pull of missing datasets plus a cluster-wide cache read-through
@@ -63,6 +63,7 @@ import (
 	"runtime/debug"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
@@ -90,8 +91,12 @@ type CompareResult struct {
 // MatchPairs/ComputeAreas variants; when nil, POST /compare answers 501.
 type CompareFunc func(rawA, rawB []byte) (CompareResult, error)
 
-// Options configures a Server.
+// Options configures a Server and everything it owns.
 type Options struct {
+	// Scheduler configures the job scheduler the server builds and owns.
+	// Its Registry and TenantQueueLimit are filled from Registry and
+	// Tenants below; values set here are overridden.
+	Scheduler sched.Config
 	// CacheSize is the LRU result-cache capacity in entries; 0 selects the
 	// default of 128, negative disables caching.
 	CacheSize int
@@ -111,15 +116,21 @@ type Options struct {
 	MatrixConcurrency int
 	// Retention bounds the store and the persisted result cache (see
 	// internal/retention). When any bound is set, New starts a background
-	// sweeper that Close stops; POST /gc sweeps on demand either way.
+	// sweeper that Shutdown stops; POST /gc sweeps on demand either way.
 	// Ignored without a Store.
 	Retention retention.Policy
-	// Cluster, when set, joins this server to a peer cluster: the internal
-	// peer endpoints are served, missing datasets are pulled peer-to-peer
-	// before jobs run, the result cache gains a cluster-wide read-through
-	// layer, and matrix cells route to their owner nodes. The caller owns
-	// the node's lifecycle. Requires a Store.
-	Cluster *cluster.Node
+	// Peers, when non-empty, joins this server to a peer cluster: the
+	// internal peer endpoints are served, missing datasets are pulled
+	// peer-to-peer (digest-verified on arrival) before jobs run, the result
+	// cache gains a cluster-wide read-through layer, and matrix cells route
+	// to the node that owns their cache key under rendezvous hashing. Each
+	// entry is a peer base URL (host:port accepted). Requires a Store and
+	// Advertise; a bad peer configuration degrades to single-node operation
+	// with a warning.
+	Peers []string
+	// Advertise is this node's own base URL as peers reach it; it anchors
+	// the node's position in the rendezvous hash ring. Required with Peers.
+	Advertise string
 	// QuerylogMaxBytes bounds the persisted query/access log under
 	// <store>/querylog (active + one rotated generation). 0 selects the
 	// 64 MiB default; negative disables the log. Ignored without a Store.
@@ -159,7 +170,7 @@ type Server struct {
 	matrix *compare.Manager
 	// retention is the store GC policy engine; nil without a store. Its
 	// background sweeper (started only when the policy bounds something) is
-	// owned by this server: New starts it, Close stops it.
+	// owned by this server: New starts it, Shutdown stops it.
 	retention *retention.Engine
 	// cluster is the peer layer; nil on a single-node daemon (see cluster.go).
 	cluster *cluster.Node
@@ -194,13 +205,13 @@ type Server struct {
 	crossMu    sync.Mutex
 	crossByJob map[string]*CrossPayload
 
-	// persistWG tracks in-flight persistWhenDone goroutines so shutdown
-	// can drain them instead of losing half-written cache entries.
-	// persistMu serializes spawning against Drain: once draining, no new
-	// persister may Add from zero concurrently with Wait.
-	persistMu       sync.Mutex
-	persistDraining bool
-	persistWG       sync.WaitGroup
+	// bg tracks the server's own goroutines (completion watchers and
+	// federation refreshes) so Shutdown can wait for them. lifeMu orders
+	// spawn's Add against Shutdown setting shut: once shut, nothing new is
+	// added while Shutdown waits. shut also stops intake (see instrument).
+	lifeMu sync.Mutex
+	shut   atomic.Bool
+	bg     sync.WaitGroup
 
 	requests    *metrics.Counter
 	submits     *metrics.Counter
@@ -222,8 +233,10 @@ type Server struct {
 	degradedLocal *metrics.Counter
 }
 
-// New creates a server over the scheduler.
-func New(s *sched.Scheduler, opts Options) *Server {
+// New creates a server together with the scheduler, cluster node,
+// retention sweeper, matrix manager and query log it owns. Stop it with
+// Shutdown.
+func New(opts Options) *Server {
 	if opts.CacheSize == 0 {
 		opts.CacheSize = 128
 	}
@@ -236,6 +249,12 @@ func New(s *sched.Scheduler, opts Options) *Server {
 	if opts.Logger == nil {
 		opts.Logger = slog.Default()
 	}
+	scfg := opts.Scheduler
+	scfg.Registry = opts.Registry
+	// The scheduler enforces per-tenant queued-job quotas atomically at
+	// enqueue; the closure keeps it tenant-config-agnostic.
+	scfg.TenantQueueLimit = opts.Tenants.QueueLimit
+	s := sched.New(scfg)
 	srv := &Server{
 		sched:      s,
 		store:      opts.Store,
@@ -319,8 +338,21 @@ func New(s *sched.Scheduler, opts Options) *Server {
 			}
 		}
 	})
-	if opts.Cluster != nil && opts.Store != nil {
-		srv.cluster = opts.Cluster
+	if len(opts.Peers) > 0 && opts.Store != nil {
+		node, err := cluster.New(cluster.Config{
+			Self:     opts.Advertise,
+			Peers:    opts.Peers,
+			Store:    opts.Store,
+			Registry: opts.Registry,
+			Logger:   opts.Logger,
+		})
+		if err != nil {
+			srv.log.Warn("cluster disabled", "err", err)
+		} else {
+			srv.cluster = node
+		}
+	}
+	if srv.cluster != nil {
 		srv.remoteHits = opts.Registry.Counter("sccgd_cluster_remote_cache_hits_total")
 		srv.routedCells = opts.Registry.Counter("sccgd_cluster_cells_routed_total")
 		srv.degradedLocal = opts.Registry.Counter("sccgd_cluster_degraded_local_total")
@@ -420,35 +452,87 @@ func New(s *sched.Scheduler, opts Options) *Server {
 	return srv
 }
 
-// Close stops background orchestration (matrix runs, the retention
-// sweeper); it does not close the scheduler, which the caller owns. Call
-// before closing the scheduler.
-func (s *Server) Close() {
+// Shutdown stops the server and everything it owns, in order: intake,
+// matrix runs, the retention sweeper, the scheduler (queued jobs are
+// canceled, running jobs finish), completion watchers and federation
+// refreshes, the query log, and the cluster node. If ctx ends before the
+// running jobs finish, they are canceled; Shutdown still completes every
+// step and then returns ctx.Err(). When it returns, no server goroutine is
+// running and nothing more is written under the store directory. Calls
+// after the first return nil at once.
+func (s *Server) Shutdown(ctx context.Context) error {
+	s.lifeMu.Lock()
+	already := s.shut.Swap(true)
+	s.lifeMu.Unlock()
+	if already {
+		return nil
+	}
 	if s.matrix != nil {
 		s.matrix.Close()
 	}
 	if s.retention != nil {
 		s.retention.Close()
 	}
-}
-
-// Drain blocks until background persist writes have finished; submissions
-// that complete after Drain starts skip persisting. Persisters wait for
-// their job's terminal state, so call this only after the scheduler has
-// closed (which finalizes every job) — otherwise a persister waiting on a
-// queued job would block Drain indefinitely.
-func (s *Server) Drain() {
-	s.persistMu.Lock()
-	s.persistDraining = true
-	s.persistMu.Unlock()
-	s.persistWG.Wait()
-	// Only after every in-flight recorder goroutine has appended its record:
+	err := s.closeScheduler(ctx)
+	// Every job is terminal now, so matrix runs finalize and watchers
+	// return; both may still append to the query log.
+	if s.matrix != nil {
+		for _, r := range s.matrix.Runs() {
+			<-r.Done()
+		}
+	}
+	s.bg.Wait()
 	// Close flushes the heat rollup beside the log so a restarted daemon
 	// answers /datasets/{id}/heat from history, not from zero.
-	if err := s.qlog.Close(); err != nil {
-		s.log.Warn("query log close", "err", err)
+	if cerr := s.qlog.Close(); cerr != nil {
+		s.log.Warn("query log close", "err", cerr)
 	}
+	if s.cluster != nil {
+		s.cluster.Close()
+	}
+	return err
 }
+
+// closeScheduler closes the scheduler: queued jobs are canceled and running
+// jobs finish. If ctx ends first, the running jobs are canceled; it still
+// waits for the close to complete and then returns ctx.Err().
+func (s *Server) closeScheduler(ctx context.Context) error {
+	closed := make(chan struct{})
+	go func() {
+		s.sched.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		return nil
+	case <-ctx.Done():
+	}
+	for _, j := range s.sched.Jobs() {
+		if !j.State.Terminal() {
+			_ = s.sched.Cancel(j.ID)
+		}
+	}
+	<-closed
+	return ctx.Err()
+}
+
+// spawn runs fn on a goroutine Shutdown waits for. Once Shutdown has begun
+// it runs nothing.
+func (s *Server) spawn(fn func()) {
+	s.lifeMu.Lock()
+	defer s.lifeMu.Unlock()
+	if s.shut.Load() {
+		return
+	}
+	s.bg.Add(1)
+	go func() {
+		defer s.bg.Done()
+		fn()
+	}()
+}
+
+// Scheduler returns the job scheduler the server owns.
+func (s *Server) Scheduler() *sched.Scheduler { return s.sched }
 
 // Registry returns the server's metrics registry.
 func (s *Server) Registry() *metrics.Registry { return s.reg }
@@ -531,7 +615,13 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 		s.requests.Inc()
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		start := time.Now()
-		h(sw, r)
+		if r.Method != http.MethodGet && s.shut.Load() {
+			// Intake is stopped: after Shutdown nothing may change, so every
+			// mutating route answers as a closed scheduler does.
+			s.fail(sw, submitErrorCode(sched.ErrClosed), sched.ErrClosed)
+		} else {
+			h(sw, r)
+		}
 		s.reg.Histogram(metrics.Label("sccgd_http_request_duration_seconds",
 			"route", route, "status", strconv.Itoa(sw.status))).ObserveSince(start)
 	}
@@ -851,22 +941,13 @@ func (s *Server) submitRequestAs(req JobRequest, who tenant.Quota, parent trace.
 	}
 	// One completion watcher per computed job: it persists the report (when
 	// cache-keyed), appends the query-log record, flags slow queries, and
-	// drops the job's pin-tracking record. The draining check under the
-	// mutex keeps the Add from racing Drain's Wait.
+	// drops the job's pin-tracking record.
 	if (key != "" && s.persist != nil) || s.qlog != nil || s.slowQuery > 0 || len(mat.pinned) > 0 {
 		persistKey := key
 		if s.persist == nil {
 			persistKey = ""
 		}
-		s.persistMu.Lock()
-		if !s.persistDraining {
-			s.persistWG.Add(1)
-			go func() {
-				defer s.persistWG.Done()
-				s.finishWhenDone(rec, persistKey, id, name, req, cross)
-			}()
-		}
-		s.persistMu.Unlock()
+		s.spawn(func() { s.finishWhenDone(rec, persistKey, id, name, req, cross) })
 	}
 	st, _ := s.sched.Job(id)
 	resp := s.jobResponse(st, false)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -19,14 +20,18 @@ import (
 
 func newTestServer(t *testing.T, cfg sched.Config, opts Options) (*Server, *sched.Scheduler, *httptest.Server) {
 	t.Helper()
-	s := sched.New(cfg)
-	srv := New(s, opts)
+	opts.Scheduler = cfg
+	srv := New(opts)
 	ts := httptest.NewServer(srv.Handler())
+	// Registered after any t.TempDir the caller made, so it runs first:
+	// nothing writes under the data dir once cleanup removes it.
 	t.Cleanup(func() {
 		ts.Close()
-		s.Close()
+		if err := srv.Shutdown(context.Background()); err != nil {
+			t.Errorf("Shutdown: %v", err)
+		}
 	})
-	return srv, s, ts
+	return srv, srv.Scheduler(), ts
 }
 
 func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {

@@ -21,18 +21,14 @@ package sccg
 import (
 	"context"
 	"fmt"
-	"log/slog"
 	"net/http"
 	"runtime"
-	"time"
 
 	"repro/internal/clip"
-	"repro/internal/cluster"
 	"repro/internal/compare"
 	"repro/internal/geom"
 	"repro/internal/gpu"
 	"repro/internal/jaccard"
-	"repro/internal/metrics"
 	"repro/internal/parser"
 	"repro/internal/pathology"
 	"repro/internal/pipeline"
@@ -42,7 +38,6 @@ import (
 	"repro/internal/sched"
 	"repro/internal/server"
 	"repro/internal/store"
-	"repro/internal/tenant"
 )
 
 // Re-exported core types, so downstream users work entirely through this
@@ -310,185 +305,48 @@ func IngestDataset(st *Store, d *Dataset) (*DatasetManifest, error) {
 	return st.IngestDataset(d)
 }
 
-// ServiceOptions configures the resident cross-comparison job service.
-type ServiceOptions struct {
-	// Devices is the simulated-GPU pool size; 0 runs CPU-only.
-	Devices int
-	// GPUsPerShard is how many pool GPUs one shard's hybrid pipeline drives
-	// concurrently; 0 selects the scheduler default of 1.
-	GPUsPerShard int
-	// HybridCPU co-executes PixelBox-CPU aggregators alongside each shard's
-	// GPUs (work-stealing hybrid aggregation).
-	HybridCPU bool
-	// Workers is each shard pipeline's CPU worker count.
-	Workers int
-	// Migration enables dynamic task migration inside shard pipelines.
-	Migration bool
-	// PixelBox tunes the kernel.
-	PixelBox pixelbox.Config
-	// MaxShards caps shards per job; 0 means one per executor slot.
-	MaxShards int
-	// QueueDepth bounds the job queue; 0 selects the scheduler default.
-	QueueDepth int
-	// CacheSize is the HTTP result cache capacity; 0 selects the server
-	// default, negative disables caching.
-	CacheSize int
-	// Store, when set, backs the /datasets endpoints, jobs by dataset ID,
-	// cross-dataset jobs, matrix runs, and content-hash result caching —
-	// including the persisted report cache under the store directory (see
-	// OpenStore).
-	Store *Store
-	// MatrixConcurrency bounds in-flight cells per matrix run; 0 selects
-	// the server default of 4.
-	MatrixConcurrency int
-	// StoreMaxBytes caps the store's total segment bytes: the retention
-	// sweeper evicts least-recently-used unpinned datasets above it
-	// (datasets referenced by queued/running jobs are pinned and never
-	// evicted). 0 means unbounded. Requires Store.
-	StoreMaxBytes int64
-	// StoreTTL evicts datasets unused (no job, cross, matrix cell, or tile
-	// read) for longer than this. 0 disables TTL eviction. Requires Store.
-	StoreTTL time.Duration
-	// CacheMaxEntries bounds the persisted result-cache entries kept on
-	// disk, LRU-evicted past the cap. 0 means unbounded. Requires Store.
-	CacheMaxEntries int
-	// SweepInterval is the background retention sweep period; 0 selects the
-	// default of one minute. The sweeper only runs when one of the bounds
-	// above is set; Service.Close stops it.
-	SweepInterval time.Duration
-	// Peers, when non-empty, puts the service in clustered mode: datasets
-	// missing locally are pulled peer-to-peer (digest-verified on arrival),
-	// the persisted result cache becomes a cluster-wide read-through, and
-	// matrix cells route to the node that owns their cache key under
-	// rendezvous hashing. Each entry is a peer base URL (host:port accepted).
-	// Requires Store and Advertise.
-	Peers []string
-	// Advertise is this node's own base URL as peers reach it; it anchors the
-	// node's position in the rendezvous hash ring. Required with Peers.
-	Advertise string
-	// QuerylogMaxBytes bounds the persisted query/access log kept under the
-	// store directory. 0 selects the 64 MiB default; negative disables the
-	// log. Requires Store.
-	QuerylogMaxBytes int64
-	// SlowQuery, when positive, logs a structured warning (with the job's
-	// trace summary) for any job slower than this threshold.
-	SlowQuery time.Duration
-	// NoTrace disables per-job span recording; only for measuring tracing's
-	// own overhead (cmd/bench trace_overhead).
-	NoTrace bool
-	// Tenants is the multi-tenant QoS configuration (token-keyed tenants
-	// with byte/dataset/queued-job quotas); the zero value runs everything
-	// as one unlimited default tenant.
-	Tenants tenant.Config
-	// BandWeights overrides the per-band fair-share weights of the
-	// scheduler's priority queues; zero entries select the defaults
-	// (interactive 8, batch 2, ingest 3).
-	BandWeights [sched.NumBands]int
-	// AgingBoost is how long a queued job may wait before it is dispatched
-	// ahead of fair share; 0 selects the 30s default, negative disables.
-	AgingBoost time.Duration
-	// ReservedSlots reserves device slots for interactive jobs; 0
-	// auto-reserves one when more than one slot exists, negative disables.
-	ReservedSlots int
-	// QueuePinAge is the pin-aware queue-aging threshold: queued jobs older
-	// than this may be canceled when their dataset pins block a retention
-	// sweep from meeting its byte budget. 0 disables.
-	QueuePinAge time.Duration
-}
+// ServiceOptions configures the resident cross-comparison job service:
+// Scheduler sizes the device pool and job queue, Store backs the dataset
+// endpoints and the persisted result cache, Retention bounds them, and
+// Peers/Advertise join a cluster (see server.Options for every field).
+type ServiceOptions = server.Options
+
+// SchedulerConfig configures the service's job scheduler: device pool
+// size, hybrid CPU co-execution, shard pipelines, queue depth and QoS
+// bands.
+type SchedulerConfig = sched.Config
 
 // Service is the resident SCCG job service (paper §4 generalised to a
 // device pool): a multi-device scheduler plus its HTTP API. It is what
 // cmd/sccgd serves.
 type Service struct {
-	sched   *sched.Scheduler
-	store   *Store
-	srv     *server.Server
-	cluster *cluster.Node
+	srv   *server.Server
+	store *Store
 }
 
-// NewService builds a running scheduler and its HTTP server. Close the
-// service when done.
+// NewService builds a running service. Stop it with Shutdown. When
+// opts.Compare is nil, POST /compare runs on a CPU engine, leaving pool
+// devices to the job queue.
 func NewService(opts ServiceOptions) *Service {
-	// One registry is shared by the scheduler's shard pipelines (per-executor
-	// accounting) and the HTTP server (request counters), so GET /metrics
-	// exposes both.
-	reg := metrics.NewRegistry()
-	sc := sched.New(sched.Config{
-		Devices:      opts.Devices,
-		GPUsPerShard: opts.GPUsPerShard,
-		HybridCPU:    opts.HybridCPU,
-		Workers:      opts.Workers,
-		Migration:    opts.Migration,
-		PixelBox:     opts.PixelBox,
-		MaxShards:    opts.MaxShards,
-		QueueDepth:   opts.QueueDepth,
-		Registry:     reg,
-		NoTrace:      opts.NoTrace,
-		BandWeights:  opts.BandWeights,
-		AgingBoost:   opts.AgingBoost,
-		// The scheduler enforces per-tenant queued-job quotas atomically at
-		// enqueue; the closure keeps the scheduler tenant-config-agnostic.
-		ReservedSlots:    opts.ReservedSlots,
-		TenantQueueLimit: opts.Tenants.QueueLimit,
-	})
-	// The synchronous /compare endpoint runs on a CPU engine through the
-	// facade's error-returning path, leaving pool devices to the job queue.
-	cmpEng := NewEngine(Options{DisableGPU: true, Workers: opts.Workers})
-	compareFn := func(rawA, rawB []byte) (server.CompareResult, error) {
-		a, err := parser.Parse(rawA)
-		if err != nil {
-			return server.CompareResult{}, fmt.Errorf("result set A: %w", err)
-		}
-		b, err := parser.Parse(rawB)
-		if err != nil {
-			return server.CompareResult{}, fmt.Errorf("result set B: %w", err)
-		}
-		sim, hits, cands, err := cmpEng.CrossComparePolygonsErr(a, b)
-		if err != nil {
-			return server.CompareResult{}, err
-		}
-		return server.CompareResult{Similarity: sim, Intersecting: hits, Candidates: cands}, nil
-	}
-	// Clustered mode: the peer node owns placement, peer-pull, and cluster
-	// metrics. A bad peer configuration degrades to single-node operation
-	// rather than failing the service.
-	var node *cluster.Node
-	if len(opts.Peers) > 0 && opts.Store != nil {
-		n, err := cluster.New(cluster.Config{
-			Self:     opts.Advertise,
-			Peers:    opts.Peers,
-			Store:    opts.Store,
-			Registry: reg,
-		})
-		if err != nil {
-			slog.Warn("cluster disabled", "err", err)
-		} else {
-			node = n
+	if opts.Compare == nil {
+		cmpEng := NewEngine(Options{DisableGPU: true, Workers: opts.Scheduler.Workers})
+		opts.Compare = func(rawA, rawB []byte) (server.CompareResult, error) {
+			a, err := parser.Parse(rawA)
+			if err != nil {
+				return server.CompareResult{}, fmt.Errorf("result set A: %w", err)
+			}
+			b, err := parser.Parse(rawB)
+			if err != nil {
+				return server.CompareResult{}, fmt.Errorf("result set B: %w", err)
+			}
+			sim, hits, cands, err := cmpEng.CrossComparePolygonsErr(a, b)
+			if err != nil {
+				return server.CompareResult{}, err
+			}
+			return server.CompareResult{Similarity: sim, Intersecting: hits, Candidates: cands}, nil
 		}
 	}
-	return &Service{
-		sched:   sc,
-		store:   opts.Store,
-		cluster: node,
-		srv: server.New(sc, server.Options{
-			CacheSize:         opts.CacheSize,
-			Compare:           compareFn,
-			Registry:          reg,
-			Store:             opts.Store,
-			MatrixConcurrency: opts.MatrixConcurrency,
-			Cluster:           node,
-			QuerylogMaxBytes:  opts.QuerylogMaxBytes,
-			SlowQuery:         opts.SlowQuery,
-			Tenants:           opts.Tenants,
-			QueuePinAge:       opts.QueuePinAge,
-			Retention: retention.Policy{
-				MaxBytes:        opts.StoreMaxBytes,
-				TTL:             opts.StoreTTL,
-				CacheMaxEntries: opts.CacheMaxEntries,
-				SweepInterval:   opts.SweepInterval,
-			},
-		}),
-	}
+	return &Service{srv: server.New(opts), store: opts.Store}
 }
 
 // Handler returns the service's HTTP routing table (POST /jobs,
@@ -496,11 +354,11 @@ func NewService(opts ServiceOptions) *Service {
 func (s *Service) Handler() http.Handler { return s.srv.Handler() }
 
 // Scheduler exposes the underlying job scheduler for in-process use.
-func (s *Service) Scheduler() *sched.Scheduler { return s.sched }
+func (s *Service) Scheduler() *sched.Scheduler { return s.srv.Scheduler() }
 
 // SubmitDataset queues a corpus-style dataset job directly, bypassing HTTP.
 func (s *Service) SubmitDataset(spec DatasetSpec) (string, error) {
-	return s.sched.SubmitDataset(spec)
+	return s.srv.Scheduler().SubmitDataset(spec)
 }
 
 // Store exposes the service's dataset store (nil when none is configured).
@@ -516,7 +374,7 @@ func (s *Service) SubmitStored(datasetID string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return s.sched.SubmitSource(ds.Manifest().DisplayName(), ds.Source())
+	return s.srv.Scheduler().SubmitSource(ds.Manifest().DisplayName(), ds.Source())
 }
 
 // CompareStored queues a cross-dataset comparison job — dataset idA's set-A
@@ -532,7 +390,7 @@ func (s *Service) CompareStored(idA, idB string) (string, CrossMatch, error) {
 	if err != nil {
 		return "", match, fmt.Errorf("sccg: %w", err)
 	}
-	id, err := s.sched.SubmitSource(name, src)
+	id, err := s.srv.Scheduler().SubmitSource(name, src)
 	return id, match, err
 }
 
@@ -568,7 +426,7 @@ func (s *Service) WaitMatrix(ctx context.Context, id string, since int64) (Matri
 func (s *Service) CancelMatrix(id string) error { return s.srv.CancelMatrix(id) }
 
 // Job returns a job snapshot by ID.
-func (s *Service) Job(id string) (JobStatus, bool) { return s.sched.Job(id) }
+func (s *Service) Job(id string) (JobStatus, bool) { return s.srv.Scheduler().Job(id) }
 
 // GC runs one retention sweep immediately — evicting TTL-expired and
 // over-budget unpinned datasets, cascading their cached reports, and
@@ -576,18 +434,12 @@ func (s *Service) Job(id string) (JobStatus, bool) { return s.sched.Job(id) }
 // It fails when the service has no dataset store.
 func (s *Service) GC() (RetentionSweep, error) { return s.srv.GC() }
 
-// Close stops matrix orchestration and the scheduler (queued jobs are
-// canceled), then drains background report-persist writes — the scheduler
-// must close first so every job the persisters wait on reaches a terminal
-// state.
-func (s *Service) Close() {
-	s.srv.Close()
-	if s.cluster != nil {
-		s.cluster.Close()
-	}
-	s.sched.Close()
-	s.srv.Drain()
-}
+// Shutdown stops the service: intake, matrix runs, the retention sweeper,
+// the scheduler (queued jobs are canceled, running jobs finish), background
+// report persisters and the query log, then the cluster node. If ctx ends
+// first, running jobs are canceled and ctx.Err() is returned once every
+// step has completed. Calls after the first return nil.
+func (s *Service) Shutdown(ctx context.Context) error { return s.srv.Shutdown(ctx) }
 
-// ErrServiceClosed is returned by scheduler submissions after Close.
+// ErrServiceClosed is returned by scheduler submissions after Shutdown.
 var ErrServiceClosed = sched.ErrClosed

@@ -28,8 +28,8 @@ func TestServiceMatchesDirectEngine(t *testing.T) {
 		t.Fatalf("direct engine run: %v", err)
 	}
 
-	svc := sccg.NewService(sccg.ServiceOptions{Devices: 2})
-	defer svc.Close()
+	svc := sccg.NewService(sccg.ServiceOptions{Scheduler: sccg.SchedulerConfig{Devices: 2}})
+	defer svc.Shutdown(context.Background())
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 
@@ -107,8 +107,8 @@ func TestServiceMatchesDirectEngine(t *testing.T) {
 // TestServiceCompareEndpoint drives POST /compare, which runs through the
 // facade's error-returning MatchPairsErr/ComputeAreasErr path.
 func TestServiceCompareEndpoint(t *testing.T) {
-	svc := sccg.NewService(sccg.ServiceOptions{Devices: 1})
-	defer svc.Close()
+	svc := sccg.NewService(sccg.ServiceOptions{Scheduler: sccg.SchedulerConfig{Devices: 1}})
+	defer svc.Shutdown(context.Background())
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 
@@ -207,8 +207,8 @@ func TestStoreBackedJobMatchesCrossCompare(t *testing.T) {
 		t.Fatalf("IngestDataset: %v", err)
 	}
 
-	svc := sccg.NewService(sccg.ServiceOptions{Devices: 1, Store: st})
-	defer svc.Close()
+	svc := sccg.NewService(sccg.ServiceOptions{Scheduler: sccg.SchedulerConfig{Devices: 1}, Store: st})
+	defer svc.Shutdown(context.Background())
 	if svc.Store() != st {
 		t.Fatal("Service.Store() does not expose the configured store")
 	}
