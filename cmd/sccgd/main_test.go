@@ -944,4 +944,16 @@ func TestDaemonMatrixProgressive(t *testing.T) {
 			t.Errorf("true top-3 similarity %.17g missing from the exact cells %v", want, exactSims)
 		}
 	}
+
+	// Wait for run to return: its persisters must finish before TempDir
+	// cleanup removes the data dir.
+	cancel()
+	select {
+	case err := <-errCh:
+		if err != nil {
+			t.Fatalf("daemon shutdown: %v", err)
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("daemon did not shut down")
+	}
 }

@@ -160,6 +160,11 @@ var (
 	ErrCellBusy      = errors.New("compare: cell is already being computed")
 )
 
+// maxRuns bounds the runs a Manager keeps: once more exist, the oldest
+// terminal runs are dropped (their IDs answer ErrNoRun). Running runs are
+// never dropped.
+const maxRuns = 64
+
 // Manager owns the matrix runs of one service instance.
 type Manager struct {
 	cfg ManagerConfig
@@ -266,6 +271,18 @@ func (m *Manager) StartSpec(spec RunSpec, release func()) (*Run, error) {
 	r.group = m.cfg.Scheduler.NewGroupFor(r.id+": "+r.label(), spec.Tenant)
 	m.runs[r.id] = r
 	m.order = append(m.order, r.id)
+	if excess := len(m.order) - maxRuns; excess > 0 {
+		kept := m.order[:0]
+		for _, id := range m.order {
+			if excess > 0 && m.runs[id].terminal() {
+				delete(m.runs, id)
+				excess--
+				continue
+			}
+			kept = append(kept, id)
+		}
+		m.order = kept
+	}
 	m.mu.Unlock()
 
 	go r.execute(m.cfg)
@@ -394,6 +411,13 @@ func (r *Run) label() string {
 		return fmt.Sprintf("%d×%d matrix", len(r.rows), len(r.cols))
 	}
 	return fmt.Sprintf("%d-way matrix", len(r.rows))
+}
+
+// terminal reports whether the run has finished.
+func (r *Run) terminal() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.state != RunRunning
 }
 
 // bumpLocked registers an observable state change; r.mu must be held.
@@ -663,7 +687,13 @@ func (r *Run) runCell(c *cell, cfg ManagerConfig) {
 		// Owned means submitted for this run: cache hits attach to a job
 		// some other submission created, and cancelling this matrix must
 		// not cancel a job others depend on.
-		if addErr := r.group.Add(out.JobID, !out.Cached); addErr != nil {
+		addErr := r.group.Add(out.JobID, !out.Cached)
+		if errors.Is(addErr, sched.ErrNotFound) && attempt < maxCellAttempts {
+			// The cached job left the scheduler's history after the cache
+			// lookup; the resubmit misses the cache and computes the cell.
+			continue
+		}
+		if addErr != nil {
 			// The run was canceled between submit and attach; the job
 			// escaped the group's cancel fan-out, so cancel it here if it
 			// is ours.

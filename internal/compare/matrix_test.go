@@ -343,3 +343,54 @@ func TestMatrixCancelCancelsMembers(t *testing.T) {
 		t.Errorf("second Cancel = %v, want ErrRunTerminal", err)
 	}
 }
+
+// TestManagerRunsBounded checks that once more than maxRuns runs exist the
+// oldest terminal ones are dropped, while a running run is kept.
+func TestManagerRunsBounded(t *testing.T) {
+	sc := sched.New(sched.Config{Devices: 1})
+	t.Cleanup(sc.Close)
+	hold := make(chan struct{})
+	release := sync.OnceFunc(func() { close(hold) })
+	t.Cleanup(release)
+	// Every cell is answered at once as a persisted result, except the live
+	// run's, which waits for hold.
+	submit := func(idA, _, _ string) (SubmitOutcome, error) {
+		if idA == "live-a" {
+			<-hold
+		}
+		return SubmitOutcome{Report: &pipeline.Result{}}, nil
+	}
+	m := NewManager(ManagerConfig{Scheduler: sc, Submit: submit})
+	live, err := m.Start("live", []string{"live-a", "live-b"})
+	if err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	var done []*Run
+	for i := 0; i < maxRuns+5; i++ {
+		r, err := m.Start("done", []string{"a", "b"})
+		if err != nil {
+			t.Fatalf("Start %d: %v", i, err)
+		}
+		if st := waitRun(t, r); st.State != RunDone {
+			t.Fatalf("run %s ended %s", r.ID(), st.State)
+		}
+		done = append(done, r)
+	}
+	runs := m.Runs()
+	if len(runs) != maxRuns {
+		t.Fatalf("Runs() lists %d, want %d", len(runs), maxRuns)
+	}
+	if runs[0] != live {
+		t.Fatalf("Runs()[0] = %s, want the running run %s kept", runs[0].ID(), live.ID())
+	}
+	for _, r := range done[:6] {
+		if _, ok := m.Get(r.ID()); ok {
+			t.Fatalf("terminal run %s still held", r.ID())
+		}
+	}
+	if _, ok := m.Get(done[len(done)-1].ID()); !ok {
+		t.Fatal("newest run dropped")
+	}
+	release()
+	waitRun(t, live)
+}

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Point is an integer-valued vertex on the pixel grid of a source image.
@@ -257,9 +258,92 @@ func shoelace(vs []Point) int64 {
 }
 
 // checkSimple verifies that no two non-adjacent edges intersect and no vertex
-// repeats. It is O(e^2) on the edge count, which is fine for the small
-// polygons of this domain; construction is off the hot path.
+// repeats. Polygons whose MBR lattice fits in maxLatticePoints are checked
+// in O(perimeter) by marking the lattice; larger ones fall back to the
+// O(e^2) pairwise edge test. Both give the same verdict on every input.
 func (p *Polygon) checkSimple() error {
+	w := int64(p.mbr.MaxX) - int64(p.mbr.MinX)
+	h := int64(p.mbr.MaxY) - int64(p.mbr.MinY)
+	// Test each extent before the product: near the int32 limits w*h, or
+	// (w+1)*(h+1), can overflow.
+	if w < maxLatticePoints && h < maxLatticePoints && (w+1)*(h+1) <= maxLatticePoints {
+		return p.checkSimpleLattice(int32(w+1), int32(h+1))
+	}
+	return p.checkSimplePairwise()
+}
+
+// maxLatticePoints bounds the MBR lattice checkSimpleLattice marks: three
+// bitsets of this many bits (24 KiB together) cover every polygon of a
+// 256x256 MBR, well above the nuclei this system handles.
+const maxLatticePoints = 1 << 16
+
+// latticePool recycles the bitsets of checkSimpleLattice, which runs on
+// every polygon the parser and the store decode.
+var latticePool = sync.Pool{New: func() any { return new([]uint64) }}
+
+// checkSimpleLattice is checkSimple over a cols x rows point lattice that
+// covers the MBR. It marks three bitsets, each indexed by a lattice point:
+// vertices, the left ends of horizontal unit segments and the lower ends of
+// vertical unit segments. A vertex marked twice is ErrRepeatedVertex, and a
+// unit segment marked twice is two overlapping collinear edges. An interior
+// point of a vertical edge that starts a horizontal unit segment is either a
+// proper crossing or a vertex inside the vertical edge, whose own vertical
+// edge then overlaps it. Those are exactly the rejections of
+// checkSimplePairwise.
+func (p *Polygon) checkSimpleLattice(cols, rows int32) error {
+	words := (int(cols)*int(rows) + 63) / 64
+	bufp := latticePool.Get().(*[]uint64)
+	defer latticePool.Put(bufp)
+	if cap(*bufp) < 3*words {
+		*bufp = make([]uint64, 3*words)
+	}
+	buf := (*bufp)[:3*words]
+	clear(buf)
+	verts, hsegs, vsegs := buf[:words], buf[words:2*words], buf[2*words:]
+
+	// mark sets bit i and reports whether it was already set.
+	mark := func(set []uint64, i int32) bool {
+		w, b := i>>6, uint64(1)<<(i&63)
+		hit := set[w]&b != 0
+		set[w] |= b
+		return hit
+	}
+	at := func(x, y int32) int32 { return (y-p.mbr.MinY)*cols + (x - p.mbr.MinX) }
+
+	for _, v := range p.vertices {
+		if mark(verts, at(v.X, v.Y)) {
+			return ErrRepeatedVertex
+		}
+	}
+	prev := p.vertices[len(p.vertices)-1]
+	for _, v := range p.vertices {
+		if v.Y == prev.Y {
+			x1, x2 := ordered(prev.X, v.X)
+			for x := x1; x < x2; x++ {
+				if mark(hsegs, at(x, v.Y)) {
+					return ErrSelfIntersecting
+				}
+			}
+		}
+		prev = v
+	}
+	for _, v := range p.vertices {
+		if v.X == prev.X {
+			y1, y2 := ordered(prev.Y, v.Y)
+			for y := y1; y < y2; y++ {
+				i := at(v.X, y)
+				if mark(vsegs, i) || (y > y1 && hsegs[i>>6]&(1<<(i&63)) != 0) {
+					return ErrSelfIntersecting
+				}
+			}
+		}
+		prev = v
+	}
+	return nil
+}
+
+// checkSimplePairwise is checkSimple by testing every pair of edges.
+func (p *Polygon) checkSimplePairwise() error {
 	n := len(p.vertices)
 	seen := make(map[Point]struct{}, n)
 	for _, v := range p.vertices {
@@ -355,16 +439,13 @@ func (p *Polygon) ContainsPixel(x, y int32) bool {
 		return false
 	}
 	crossings := 0
-	n := len(p.vertices)
-	for i := 0; i < n; i++ {
-		a, b := p.vertices[i], p.vertices[(i+1)%n]
-		if a.X != b.X {
+	vs := p.vertices
+	for i, j := 0, len(vs)-1; i < len(vs); j, i = i, i+1 {
+		a, v := vs[j], vs[i]
+		if a.X != v.X {
 			continue // horizontal edge: parallel to the ray
 		}
-		y1, y2 := a.Y, b.Y
-		if y1 > y2 {
-			y1, y2 = y2, y1
-		}
+		y1, y2 := ordered(a.Y, v.Y)
 		// Edge at abscissa a.X crosses the ray y = y+0.5, x' < x+0.5
 		// iff a.X <= x and y1 <= y < y2.
 		if a.X <= x && y1 <= y && y < y2 {
@@ -374,22 +455,50 @@ func (p *Polygon) ContainsPixel(x, y int32) bool {
 	return crossings%2 == 1
 }
 
+// RowCrossings appends to buf, in ascending order, the abscissae of the
+// vertical edges that span row y (the pixels [x,x+1) x [y,y+1)), and returns
+// the extended slice. The pixels of the row inside the polygon are then the
+// runs [xs[0],xs[1]), [xs[2],xs[3]), ...: the same parity ContainsPixel
+// counts, found once per row instead of once per pixel. Passing a slice of a
+// caller-owned array keeps the common case free of allocation.
+func (p *Polygon) RowCrossings(y int32, buf []int32) []int32 {
+	if y < p.mbr.MinY || y >= p.mbr.MaxY {
+		return buf
+	}
+	start := len(buf)
+	vs := p.vertices
+	for i, j := 0, len(vs)-1; i < len(vs); j, i = i, i+1 {
+		a, v := vs[j], vs[i]
+		if a.X != v.X {
+			continue
+		}
+		if y1, y2 := ordered(a.Y, v.Y); y < y1 || y >= y2 {
+			continue
+		}
+		// Insertion sort: a row crosses only a handful of edges.
+		buf = append(buf, v.X)
+		k := len(buf) - 1
+		for ; k > start && buf[k-1] > v.X; k-- {
+			buf[k] = buf[k-1]
+		}
+		buf[k] = v.X
+	}
+	return buf
+}
+
 // ContainsCenter2 reports whether the point (cx2/2, cy2/2), given in doubled
 // coordinates, lies strictly inside the polygon. Callers must ensure the
 // point does not lie exactly on the boundary (odd doubled coordinates are
 // always safe). Used by the Lemma-1 sampling-box position test.
 func (p *Polygon) ContainsCenter2(cx2, cy2 int64) bool {
 	crossings := 0
-	n := len(p.vertices)
-	for i := 0; i < n; i++ {
-		a, b := p.vertices[i], p.vertices[(i+1)%n]
-		if a.X != b.X {
+	vs := p.vertices
+	for i, j := 0, len(vs)-1; i < len(vs); j, i = i, i+1 {
+		a, v := vs[j], vs[i]
+		if a.X != v.X {
 			continue
 		}
-		y1, y2 := a.Y, b.Y
-		if y1 > y2 {
-			y1, y2 = y2, y1
-		}
+		y1, y2 := ordered(a.Y, v.Y)
 		if int64(a.X)*2 < cx2 && int64(y1)*2 < cy2 && cy2 < int64(y2)*2 {
 			crossings++
 		}
@@ -413,22 +522,16 @@ func (p *Polygon) BoxPosition(b MBR) BoxPos {
 	if !p.mbr.Intersects(b) {
 		return BoxOutside
 	}
-	n := len(p.vertices)
-	for i := 0; i < n; i++ {
-		a, c := p.vertices[i], p.vertices[(i+1)%n]
+	vs := p.vertices
+	for i, j := 0, len(vs)-1; i < len(vs); j, i = i, i+1 {
+		a, c := vs[j], vs[i]
 		if a.X == c.X { // vertical edge
-			y1, y2 := a.Y, c.Y
-			if y1 > y2 {
-				y1, y2 = y2, y1
-			}
+			y1, y2 := ordered(a.Y, c.Y)
 			if b.MinX < a.X && a.X < b.MaxX && y1 < b.MaxY && b.MinY < y2 {
 				return BoxHover
 			}
 		} else { // horizontal edge
-			x1, x2 := a.X, c.X
-			if x1 > x2 {
-				x1, x2 = x2, x1
-			}
+			x1, x2 := ordered(a.X, c.X)
 			if b.MinY < a.Y && a.Y < b.MaxY && x1 < b.MaxX && b.MinX < x2 {
 				return BoxHover
 			}
@@ -503,6 +606,14 @@ func (p *Polygon) Translate(dx, dy int32) *Polygon {
 // Rect builds the rectangle polygon covering pixels [x0,x1) x [y0,y1).
 func Rect(x0, y0, x1, y1 int32) *Polygon {
 	return MustPolygon([]Point{{x0, y0}, {x1, y0}, {x1, y1}, {x0, y1}})
+}
+
+// ordered returns a and b in ascending order.
+func ordered(a, b int32) (int32, int32) {
+	if a > b {
+		return b, a
+	}
+	return a, b
 }
 
 func min32(a, b int32) int32 {

@@ -8,6 +8,11 @@ import "sync"
 // and stealing a selected task out of the middle of the buffer (the
 // aggregator's migration thread "selects the smallest tasks from the input
 // buffer").
+//
+// get callers (the GPU aggregators) claim first: while one is blocked
+// waiting for an item, getMin and stealMin (the CPU side) leave new items to
+// it, so a CPU returning from a batch cannot take a task out from under a
+// woken GPU before it reacquires the lock.
 type buffer[T any] struct {
 	mu       sync.Mutex
 	notFull  *sync.Cond
@@ -15,6 +20,8 @@ type buffer[T any] struct {
 	items    []T
 	capacity int
 	closed   bool
+	// getWaiting counts get callers blocked on an empty buffer.
+	getWaiting int
 
 	// fullCh and emptyCh receive non-blocking notifications when the
 	// buffer becomes full / is found empty by a consumer, waking migration
@@ -60,7 +67,9 @@ func (b *buffer[T]) put(item T) {
 	if len(b.items) >= b.capacity {
 		notify(b.fullCh)
 	}
-	b.notEmpty.Signal()
+	// Broadcast: a woken getMin caller may have to keep waiting for a
+	// blocked get caller, which must then be woken too.
+	b.notEmpty.Broadcast()
 	b.mu.Unlock()
 }
 
@@ -70,7 +79,9 @@ func (b *buffer[T]) get() (item T, ok bool) {
 	b.mu.Lock()
 	for len(b.items) == 0 && !b.closed {
 		notify(b.emptyCh)
+		b.getWaiting++
 		b.notEmpty.Wait()
+		b.getWaiting--
 	}
 	if len(b.items) == 0 {
 		b.mu.Unlock()
@@ -81,6 +92,9 @@ func (b *buffer[T]) get() (item T, ok bool) {
 	b.items[0] = zero
 	b.items = b.items[1:]
 	b.notFull.Signal()
+	if b.getWaiting == 0 && len(b.items) > 0 {
+		b.notEmpty.Broadcast() // getMin callers held back for this get
+	}
 	b.mu.Unlock()
 	return item, true
 }
@@ -101,23 +115,29 @@ func (b *buffer[T]) tryGet() (item T, ok bool) {
 }
 
 // stealMin removes and returns the item minimising weight; ok is false when
-// the buffer is empty. Migration threads use it to pull the smallest tasks
-// (cheapest to execute on the slower device).
+// the buffer is empty or a get caller is waiting. Migration threads use it
+// to pull the smallest tasks (cheapest to execute on the slower device).
 func (b *buffer[T]) stealMin(weight func(T) int) (item T, ok bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if b.getWaiting > 0 {
+		return item, false
+	}
 	return b.takeMinLocked(weight)
 }
 
-// getMin blocks until an item is available (or the buffer is closed and
-// drained, reporting ok=false) and removes the item minimising weight. It is
-// the blocking form of stealMin used by the slower executors of the hybrid
-// aggregator, which always prefer the cheapest task in the buffer.
+// getMin blocks until an item is available and no get caller is waiting
+// (or the buffer is closed and drained, reporting ok=false) and removes the
+// item minimising weight. It is the blocking form of stealMin used by the
+// slower executors of the hybrid aggregator, which always prefer the
+// cheapest task in the buffer.
 func (b *buffer[T]) getMin(weight func(T) int) (item T, ok bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for len(b.items) == 0 && !b.closed {
-		notify(b.emptyCh)
+	for !b.closed && (len(b.items) == 0 || b.getWaiting > 0) {
+		if len(b.items) == 0 {
+			notify(b.emptyCh)
+		}
 		b.notEmpty.Wait()
 	}
 	return b.takeMinLocked(weight)

@@ -17,11 +17,6 @@ type CPUConfig struct {
 	// quad split (there is no thread block to feed), so a smaller
 	// threshold than the GPU's n²/2 works best. Defaults to 64.
 	Threshold int
-	// CacheEdges pre-extracts each pair's vertical edge lists so per-pixel
-	// ray casts iterate flat slices; off by default, which keeps the port
-	// a literal translation of the GPU kernel's per-pixel test (the form
-	// the paper's PixelBox-CPU measurements reflect).
-	CacheEdges bool
 	// Workers is the number of parallel workers for RunCPUParallel;
 	// defaults to GOMAXPROCS.
 	Workers int
@@ -84,9 +79,7 @@ func RunCPUParallel(pairs []Pair, cfg CPUConfig) []AreaResult {
 }
 
 // cpuPair computes one pair with the sampling-box + pixelization scheme and
-// indirect union. Vertical edges are extracted once per pair so the hot
-// per-pixel ray cast iterates a flat edge slice instead of re-deriving
-// edges from the vertex loop.
+// indirect union.
 func cpuPair(pr Pair, cfg CPUConfig) AreaResult {
 	p, q := pr.P, pr.Q
 	window := p.MBR().Intersection(q.MBR())
@@ -95,47 +88,21 @@ func cpuPair(pr Pair, cfg CPUConfig) AreaResult {
 		res.Union = p.Area() + q.Area()
 		return res
 	}
-	pc := pairCtx{p: p, q: q, pMBR: p.MBR(), qMBR: q.MBR()}
-	if cfg.CacheEdges {
-		pc.pEdges = p.VerticalEdges()
-		pc.qEdges = q.VerticalEdges()
-	}
-	inter := pc.refine(window, int64(cfg.Threshold))
+	inter := refine(p, q, window, int64(cfg.Threshold))
 	res.Intersection = inter
 	res.Union = p.Area() + q.Area() - inter
 	return res
 }
 
-// pairCtx caches the per-pair geometry the refinement loops consult.
-type pairCtx struct {
-	p, q           *geom.Polygon
-	pEdges, qEdges []geom.VEdge
-	pMBR, qMBR     geom.MBR
-}
-
-// pixelIn tests a pixel against one polygon via its cached vertical edges.
-func pixelIn(edges []geom.VEdge, m geom.MBR, x, y int32) bool {
-	if !m.ContainsPixel(x, y) {
-		return false
-	}
-	crossings := 0
-	for _, e := range edges {
-		if e.X <= x && e.Y1 <= y && y < e.Y2 {
-			crossings++
-		}
-	}
-	return crossings%2 == 1
-}
-
 // refine recursively classifies a box against both polygons (Lemma 1),
 // quad-splitting hovering boxes until they fall below the pixelization
 // threshold.
-func (pc *pairCtx) refine(box geom.MBR, threshold int64) int64 {
-	φ1 := pc.p.BoxPosition(box)
+func refine(p, q *geom.Polygon, box geom.MBR, threshold int64) int64 {
+	φ1 := p.BoxPosition(box)
 	if φ1 == geom.BoxOutside {
 		return 0
 	}
-	φ2 := pc.q.BoxPosition(box)
+	φ2 := q.BoxPosition(box)
 	if φ2 == geom.BoxOutside {
 		return 0
 	}
@@ -143,7 +110,8 @@ func (pc *pairCtx) refine(box geom.MBR, threshold int64) int64 {
 		return box.Pixels()
 	}
 	if box.Pixels() <= threshold || (box.Width() == 1 && box.Height() == 1) {
-		return pc.pixelize(box)
+		inter, _ := countBox(p, q, box, false)
+		return inter
 	}
 	midX := box.MinX + box.Width()/2
 	midY := box.MinY + box.Height()/2
@@ -156,28 +124,8 @@ func (pc *pairCtx) refine(box geom.MBR, threshold int64) int64 {
 	}
 	for _, qd := range quads {
 		if !qd.IsEmpty() {
-			total += pc.refine(qd, threshold)
+			total += refine(p, q, qd, threshold)
 		}
 	}
 	return total
-}
-
-// pixelize counts intersection pixels in a box directly.
-func (pc *pairCtx) pixelize(box geom.MBR) int64 {
-	var inter int64
-	cached := pc.pEdges != nil
-	for y := box.MinY; y < box.MaxY; y++ {
-		for x := box.MinX; x < box.MaxX; x++ {
-			var in bool
-			if cached {
-				in = pixelIn(pc.pEdges, pc.pMBR, x, y) && pixelIn(pc.qEdges, pc.qMBR, x, y)
-			} else {
-				in = pc.p.ContainsPixel(x, y) && pc.q.ContainsPixel(x, y)
-			}
-			if in {
-				inter++
-			}
-		}
-	}
-	return inter
 }

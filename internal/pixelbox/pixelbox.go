@@ -414,10 +414,11 @@ func chargeStackPush(b *gpu.Block, slots []int32, v Variant) {
 	b.SharedAccess(1)
 }
 
-// pixelizeBox counts, pixel by pixel, the intersection (and optionally
-// union) contribution of a box (Algorithm 1 lines 22-28). Pixels are strided
+// pixelizeBox counts the intersection (and optionally union) contribution
+// of a box pixel by pixel (Algorithm 1 lines 22-28). Pixels are strided
 // across the block's threads; a box smaller than the block leaves SIMD lanes
-// idle, which the cost model charges via Strided.
+// idle, which the cost model charges via Strided. The host computes the same
+// counts from row runs (countBox), which does not change what is charged.
 func pixelizeBox(b *gpu.Block, p, q *geom.Polygon, box geom.MBR, cfg Config, wantUnion bool) (inter, union int64) {
 	v := cfg.Variant
 	loopOv := loopOverhead / v.Unroll
@@ -436,20 +437,47 @@ func pixelizeBox(b *gpu.Block, p, q *geom.Polygon, box geom.MBR, cfg Config, wan
 	} else {
 		b.L1Read(iters * edges)
 	}
+	return countBox(p, q, box, wantUnion)
+}
 
+// countBox returns the number of pixels of box inside both p and q and,
+// when wantUnion is set, the number inside either. Rectilinearity makes a
+// row's pixels inside a polygon a few runs between its sorted vertical-edge
+// crossings (geom.(*Polygon).RowCrossings), so each row costs one pass over
+// the edges plus a merge of the runs instead of a ray cast per pixel.
+func countBox(p, q *geom.Polygon, box geom.MBR, wantUnion bool) (inter, union int64) {
+	var pbuf, qbuf [32]int32
+	span := [2]int32{box.MinX, box.MaxX}
 	for y := box.MinY; y < box.MaxY; y++ {
-		for x := box.MinX; x < box.MaxX; x++ {
-			inP := p.ContainsPixel(x, y)
-			inQ := q.ContainsPixel(x, y)
-			if inP && inQ {
-				inter++
-			}
-			if wantUnion && (inP || inQ) {
-				union++
-			}
+		xp := p.RowCrossings(y, pbuf[:0])
+		xq := q.RowCrossings(y, qbuf[:0])
+		both := runOverlap(xp, xq, box.MinX, box.MaxX)
+		inter += both
+		if wantUnion {
+			union += runOverlap(xp, span[:], box.MinX, box.MaxX) +
+				runOverlap(xq, span[:], box.MinX, box.MaxX) - both
 		}
 	}
 	return inter, union
+}
+
+// runOverlap returns the length of [x0,x1) covered by both run lists a and
+// b, each given as sorted run bounds [a0,a1), [a2,a3), ...
+func runOverlap(a, b []int32, x0, x1 int32) int64 {
+	var n int64
+	for i, j := 0, 0; i+1 < len(a) && j+1 < len(b); {
+		lo := max(a[i], b[j], x0)
+		hi := min(a[i+1], b[j+1], x1)
+		if hi > lo {
+			n += int64(hi - lo)
+		}
+		if a[i+1] < b[j+1] {
+			i += 2
+		} else {
+			j += 2
+		}
+	}
+	return n
 }
 
 // partitionGrid chooses the kx x ky sub-box grid for a block size, as close

@@ -13,7 +13,10 @@ package sched
 // Jobs attached with owned=false (an orchestrator reusing another
 // submitter's cached or in-flight job) are aggregated but never canceled
 // through the group — canceling a shared job would yank it out from under
-// its other consumers.
+// its other consumers. A member's outcome is folded into the group when the
+// job finishes, so the group's status outlives the scheduler's job history.
+//
+// Lock order: the scheduler's mu before a group's mu.
 
 import (
 	"errors"
@@ -50,6 +53,26 @@ type groupMember struct {
 	// owned marks jobs submitted for this group; only these are canceled
 	// when the group is.
 	owned bool
+	// final is the job's outcome once it is terminal (final.state is
+	// Queued until then).
+	final memberOutcome
+}
+
+// memberOutcome is the part of a member job a GroupStatus aggregates.
+type memberOutcome struct {
+	state         State
+	tiles         int
+	launches      int64
+	deviceSeconds float64
+}
+
+func outcomeOf(j *job) memberOutcome {
+	return memberOutcome{
+		state:         j.state,
+		tiles:         j.tiles,
+		launches:      j.report.Stats.KernelLaunches,
+		deviceSeconds: j.report.Stats.DeviceSeconds,
+	}
 }
 
 // GroupStatus is a point-in-time aggregate over a group's member jobs.
@@ -90,23 +113,31 @@ func (s *Scheduler) NewGroupFor(name, tenant string) *Group {
 	g := &Group{s: s, name: name, tenant: tenant, created: time.Now()}
 	g.id = fmt.Sprintf("grp-%06d", atomic.AddInt64(&s.nextGroup, 1))
 	s.mu.Lock()
-	s.groups[g.id] = g
-	s.gorder = append(s.gorder, g.id)
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	s.groups = append(s.groups, g)
+	if excess := len(s.groups) - maxGroups; excess > 0 {
+		kept := s.groups[:0]
+		for _, og := range s.groups {
+			if excess > 0 && og.terminalLocked() {
+				excess--
+				continue
+			}
+			kept = append(kept, og)
+		}
+		clear(s.groups[len(kept):])
+		s.groups = kept
+	}
 	return g
 }
 
-// Groups returns every group's current status in creation order. Like jobs,
-// groups are kept for the scheduler's lifetime; callers that only care about
-// live runs filter on !Terminal.
+// Groups returns the current status of every live group and of the newest
+// terminal ones (at most maxGroups in all, unless more are live), in
+// creation order. Callers that only care about live runs filter on
+// !Terminal.
 func (s *Scheduler) Groups() []GroupStatus {
 	s.mu.Lock()
-	groups := make([]*Group, 0, len(s.gorder))
-	for _, id := range s.gorder {
-		groups = append(groups, s.groups[id])
-	}
+	groups := append([]*Group(nil), s.groups...)
 	s.mu.Unlock()
-	// Status takes g.mu and s.mu (via Job); compute outside the lock.
 	out := make([]GroupStatus, len(groups))
 	for i, g := range groups {
 		out[i] = g.Status()
@@ -119,8 +150,12 @@ func (g *Group) ID() string { return g.id }
 
 // Add attaches a job to the group. owned marks jobs submitted specifically
 // for this group — Cancel fans out only to those, leaving shared jobs
-// (cache-hit attachments) running for their other consumers.
+// (cache-hit attachments) running for their other consumers. A job the
+// scheduler does not hold (never submitted, or dropped from the history)
+// is ErrNotFound.
 func (g *Group) Add(jobID string, owned bool) error {
+	g.s.mu.Lock()
+	defer g.s.mu.Unlock()
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.canceled {
@@ -129,8 +164,47 @@ func (g *Group) Add(jobID string, owned bool) error {
 	if g.sealed {
 		return ErrGroupSealed
 	}
-	g.members = append(g.members, groupMember{jobID: jobID, owned: owned})
+	j, ok := g.s.jobs[jobID]
+	if !ok {
+		return ErrNotFound
+	}
+	m := groupMember{jobID: jobID, owned: owned}
+	if j.state.Terminal() {
+		m.final = outcomeOf(j)
+	} else {
+		j.groups = append(j.groups, g)
+	}
+	g.members = append(g.members, m)
 	return nil
+}
+
+// fold records the outcome of a member job that just finished. The caller
+// holds the scheduler's mu.
+func (g *Group) fold(j *job) {
+	o := outcomeOf(j)
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for i := range g.members {
+		if g.members[i].jobID == j.id {
+			g.members[i].final = o
+		}
+	}
+}
+
+// terminalLocked reports whether the member set is complete and every
+// member has finished. The caller holds the scheduler's mu.
+func (g *Group) terminalLocked() bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if !g.sealed {
+		return false
+	}
+	for _, m := range g.members {
+		if !m.final.state.Terminal() {
+			return false
+		}
+	}
+	return true
 }
 
 // Remove detaches a job from the group (a matrix cell dropping a canceled
@@ -201,46 +275,48 @@ func (g *Group) CancelMember(jobID string) bool {
 	return true
 }
 
-// Status aggregates the member jobs' current snapshots.
+// Status aggregates the member jobs' outcomes: folded ones for finished
+// members, the live job for the rest.
 func (g *Group) Status() GroupStatus {
+	g.s.mu.Lock()
+	defer g.s.mu.Unlock()
 	g.mu.Lock()
-	members := make([]groupMember, len(g.members))
-	copy(members, g.members)
+	defer g.mu.Unlock()
 	st := GroupStatus{
 		ID:       g.id,
 		Name:     g.name,
 		Tenant:   g.tenant,
 		Created:  g.created,
-		Members:  len(members),
+		Members:  len(g.members),
 		Sealed:   g.sealed,
 		Canceled: g.canceled,
 	}
-	g.mu.Unlock()
 	terminal := 0
-	for _, m := range members {
-		js, ok := g.s.Job(m.jobID)
-		if !ok {
-			continue
+	for _, m := range g.members {
+		o := m.final
+		if !o.state.Terminal() {
+			// Not finished, so fold has not run and the job is still held.
+			o = outcomeOf(g.s.jobs[m.jobID])
 		}
-		st.Tiles += js.Tiles
-		switch js.State {
+		st.Tiles += o.tiles
+		switch o.state {
 		case Queued:
 			st.Queued++
 		case Running:
 			st.Running++
 		case Done:
 			st.Done++
-			st.KernelLaunches += js.Report.Stats.KernelLaunches
-			st.DeviceSeconds += js.Report.Stats.DeviceSeconds
+			st.KernelLaunches += o.launches
+			st.DeviceSeconds += o.deviceSeconds
 		case Failed:
 			st.Failed++
 		case Canceled:
 			st.CanceledJobs++
 		}
-		if js.State.Terminal() {
+		if o.state.Terminal() {
 			terminal++
 		}
 	}
-	st.Terminal = st.Sealed && terminal == len(members)
+	st.Terminal = st.Sealed && terminal == len(g.members)
 	return st
 }

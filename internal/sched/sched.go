@@ -248,6 +248,8 @@ type JobStatus struct {
 	// Snapshots of a live job show the spans so far; after the job finishes
 	// its total freezes (later spans like the server's persist still appear).
 	Trace *trace.Trace
+	// Meta is the submitter's JobOpts.Meta.
+	Meta any
 }
 
 // DeviceStats is the accounting for one pool executor slot (its GPU set, or
@@ -270,9 +272,12 @@ type Stats struct {
 	Canceled  int64
 	Queued    int
 	Running   int
-	Bands     [NumBands]BandCounts
-	Tenants   map[string]TenantCounts
-	Devices   []DeviceStats
+	// GroupsCreated counts every group ever created, including those
+	// dropped from the history.
+	GroupsCreated int64
+	Bands         [NumBands]BandCounts
+	Tenants       map[string]TenantCounts
+	Devices       []DeviceStats
 }
 
 // Errors returned by the scheduler's public API.
@@ -307,6 +312,7 @@ func (d *device) stats() (launches int64, busy float64) {
 
 type job struct {
 	id        string
+	seq       int64 // submission order
 	name      string
 	band      Band
 	tenant    string
@@ -325,7 +331,21 @@ type job struct {
 	devices   map[int]struct{}
 	report    pipeline.Result
 	trace     *trace.Recorder
+	meta      any
+	// groups are the groups this job is a live member of; finish folds its
+	// outcome into each, so they no longer need the job once it is dropped.
+	groups []*Group
 }
+
+// History bounds. Terminal jobs and groups are kept only so clients can read
+// their outcome; the newest maxTerminalJobs finished jobs stay readable
+// (older IDs answer ErrNotFound), and once more than maxGroups groups exist
+// the oldest terminal ones are dropped. Live jobs and groups are never
+// dropped.
+const (
+	maxTerminalJobs = 256
+	maxGroups       = 64
+)
 
 // Scheduler is the job service's execution core. Create with New, submit
 // with Submit/SubmitDataset, observe with Job/Jobs/DeviceStats, stop with
@@ -345,10 +365,11 @@ type Scheduler struct {
 	mu     sync.Mutex
 	qcond  *sync.Cond // signaled on enqueue and Close; guards the fields below via mu
 	jobs   map[string]*job
-	order  []string
-	groups map[string]*Group
-	gorder []string
+	groups []*Group // creation order
 	closed bool
+	// history holds the IDs of the jobs in jobs that are terminal, oldest
+	// first; it never exceeds maxTerminalJobs.
+	history []string
 
 	// The banded ready queue: one FIFO per band under weighted fair sharing
 	// (virtual-time WFQ) with aging. Terminal jobs (canceled while queued)
@@ -382,7 +403,6 @@ func New(cfg Config) *Scheduler {
 	s := &Scheduler{
 		cfg:           cfg,
 		jobs:          make(map[string]*job),
-		groups:        make(map[string]*Group),
 		queuedTenant:  make(map[string]int),
 		runningTenant: make(map[string]int),
 		warm:          pipeline.NewThroughputMemory(),
@@ -470,6 +490,9 @@ type JobOpts struct {
 	Tenant string
 	// Trace is an optional caller-provided span recorder.
 	Trace *trace.Recorder
+	// Meta is opaque submitter data returned in every snapshot of the job
+	// and dropped with it.
+	Meta any
 }
 
 // SubmitJob enqueues a job with explicit QoS placement: its band picks the
@@ -505,6 +528,7 @@ func (s *Scheduler) SubmitJob(src TaskSource, opts JobOpts) (string, error) {
 		submitted: time.Now(),
 		devices:   make(map[int]struct{}),
 		trace:     rec,
+		meta:      opts.Meta,
 	}
 
 	s.mu.Lock()
@@ -525,10 +549,10 @@ func (s *Scheduler) SubmitJob(src TaskSource, opts JobOpts) (string, error) {
 			return "", fmt.Errorf("%w: tenant %s has %d queued", ErrTenantQueue, j.tenant, max)
 		}
 	}
-	j.id = fmt.Sprintf("job-%06d", atomic.AddInt64(&s.nextID, 1))
+	j.seq = atomic.AddInt64(&s.nextID, 1)
+	j.id = fmt.Sprintf("job-%06d", j.seq)
 	s.enqueueLocked(j)
 	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
 	atomic.AddInt64(&s.submitted, 1)
 	s.mu.Unlock()
 	return j.id, nil
@@ -717,13 +741,19 @@ func (s *Scheduler) Job(id string) (JobStatus, bool) {
 	return s.snapshotLocked(j), true
 }
 
-// Jobs returns snapshots of every job in submission order.
+// Jobs returns snapshots of every live job and of the retained finished
+// ones, in submission order.
 func (s *Scheduler) Jobs() []JobStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]JobStatus, 0, len(s.order))
-	for _, id := range s.order {
-		out = append(out, s.snapshotLocked(s.jobs[id]))
+	js := make([]*job, 0, len(s.jobs))
+	for _, j := range s.jobs {
+		js = append(js, j)
+	}
+	sort.Slice(js, func(a, b int) bool { return js[a].seq < js[b].seq })
+	out := make([]JobStatus, len(js))
+	for i, j := range js {
+		out[i] = s.snapshotLocked(j)
 	}
 	return out
 }
@@ -742,8 +772,11 @@ func (s *Scheduler) Wait(ctx context.Context, id string) (JobStatus, error) {
 	case <-ctx.Done():
 		return JobStatus{}, ctx.Err()
 	}
-	st, _ := s.Job(id)
-	return st, nil
+	// Snapshot the job held, not the ID: the scheduler may already have
+	// dropped a finished job from its history.
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.snapshotLocked(j), nil
 }
 
 // DeviceStats returns per-device accounting for the pool.
@@ -772,13 +805,14 @@ func (s *Scheduler) DeviceStats() []DeviceStats {
 // Stats returns a scheduler-wide snapshot.
 func (s *Scheduler) Stats() Stats {
 	st := Stats{
-		Submitted: atomic.LoadInt64(&s.submitted),
-		Completed: atomic.LoadInt64(&s.completed),
-		Failed:    atomic.LoadInt64(&s.failed),
-		Canceled:  atomic.LoadInt64(&s.canceled),
-		Running:   int(atomic.LoadInt64(&s.running)),
-		Devices:   s.DeviceStats(),
-		Tenants:   make(map[string]TenantCounts),
+		Submitted:     atomic.LoadInt64(&s.submitted),
+		Completed:     atomic.LoadInt64(&s.completed),
+		Failed:        atomic.LoadInt64(&s.failed),
+		Canceled:      atomic.LoadInt64(&s.canceled),
+		Running:       int(atomic.LoadInt64(&s.running)),
+		GroupsCreated: atomic.LoadInt64(&s.nextGroup),
+		Devices:       s.DeviceStats(),
+		Tenants:       make(map[string]TenantCounts),
 	}
 	s.mu.Lock()
 	st.Queued = s.queuedTotal
@@ -843,6 +877,7 @@ func (s *Scheduler) snapshotLocked(j *job) JobStatus {
 		Tiles:     j.tiles,
 		Shards:    j.shards,
 		Report:    j.report,
+		Meta:      j.meta,
 	}
 	if j.err != nil {
 		st.Error = j.err.Error()
@@ -1134,7 +1169,8 @@ func (s *Scheduler) finish(j *job, state State, err error, report pipeline.Resul
 	// FIFO slot is discarded by whichever dequeue reaches it.
 	s.uncountLocked(j)
 	src := j.src
-	j.src = nil // release the input source; finished jobs are kept forever
+	j.src = nil // release the input source; the job itself may outlive it
+	s.retireLocked(j)
 	s.mu.Unlock()
 	j.trace.Finish()
 	if h := s.histJobDuration[state]; h != nil {
@@ -1149,6 +1185,20 @@ func (s *Scheduler) finish(j *job, state State, err error, report pipeline.Resul
 	}
 	j.cancel()
 	close(j.done)
+}
+
+// retireLocked folds a newly terminal job into its groups and appends it to
+// the history, dropping the oldest finished job beyond maxTerminalJobs.
+func (s *Scheduler) retireLocked(j *job) {
+	for _, g := range j.groups {
+		g.fold(j)
+	}
+	j.groups = nil
+	s.history = append(s.history, j.id)
+	if len(s.history) > maxTerminalJobs {
+		delete(s.jobs, s.history[0])
+		s.history = s.history[1:]
+	}
 }
 
 // shardTasks splits the source's tile indices into at most maxShards

@@ -166,9 +166,7 @@ func (s *Server) handleClusterResult(w http.ResponseWriter, r *http.Request) {
 func (s *Server) localResult(key string) (clusterResult, bool) {
 	if id, ok := s.cache.get(key); ok {
 		if st, live := s.sched.Job(id); live && st.State == sched.Done {
-			s.crossMu.Lock()
-			cross := s.crossByJob[id]
-			s.crossMu.Unlock()
+			cross, _ := st.Meta.(*CrossPayload)
 			return clusterResult{Key: key, Name: st.Name, Cross: cross, Saved: st.Finished.UTC(), Cached: true, Report: st.Report}, true
 		}
 	}

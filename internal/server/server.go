@@ -200,11 +200,6 @@ type Server struct {
 	pinsMu  sync.Mutex
 	jobPins map[string]jobPin
 
-	// crossMu guards crossByJob: per-job cross-dataset pairing metadata
-	// (matched/unmatched tile counts) attached to job responses.
-	crossMu    sync.Mutex
-	crossByJob map[string]*CrossPayload
-
 	// bg tracks the server's own goroutines (completion watchers and
 	// federation refreshes) so Shutdown can wait for them. lifeMu orders
 	// spawn's Add against Shutdown setting shut: once shut, nothing new is
@@ -256,19 +251,18 @@ func New(opts Options) *Server {
 	scfg.TenantQueueLimit = opts.Tenants.QueueLimit
 	s := sched.New(scfg)
 	srv := &Server{
-		sched:      s,
-		store:      opts.Store,
-		cache:      newResultCache(opts.CacheSize),
-		specIDs:    newResultCache(1024),
-		reg:        opts.Registry,
-		log:        opts.Logger,
-		compare:    opts.Compare,
-		maxBody:    opts.MaxBodyBytes,
-		started:    time.Now(),
-		tenants:    opts.Tenants,
-		pinAge:     opts.QueuePinAge,
-		crossByJob: make(map[string]*CrossPayload),
-		jobPins:    make(map[string]jobPin),
+		sched:   s,
+		store:   opts.Store,
+		cache:   newResultCache(opts.CacheSize),
+		specIDs: newResultCache(1024),
+		reg:     opts.Registry,
+		log:     opts.Logger,
+		compare: opts.Compare,
+		maxBody: opts.MaxBodyBytes,
+		started: time.Now(),
+		tenants: opts.Tenants,
+		pinAge:  opts.QueuePinAge,
+		jobPins: make(map[string]jobPin),
 
 		requests:    opts.Registry.Counter("sccgd_http_requests_total"),
 		submits:     opts.Registry.Counter("sccgd_jobs_submitted_total"),
@@ -318,7 +312,7 @@ func New(opts Options) *Server {
 			e.Gauge(metrics.Label("sccgd_group_jobs_failed", "group", g.ID), float64(g.Failed))
 		}
 		e.Gauge("sccgd_groups_active", float64(active))
-		e.Counter("sccgd_groups_total", float64(len(groups)))
+		e.Counter("sccgd_groups_total", float64(st.GroupsCreated))
 		// QoS series: per-band and per-tenant queue/run occupancy from the
 		// same scheduler snapshot, plus per-tenant store attribution. Labels
 		// are band names and configured tenant names — bounded cardinality,
@@ -766,15 +760,8 @@ type JobResponse struct {
 
 // jobResponse projects a job snapshot to the wire, attaching cross-dataset
 // pairing metadata when the job is a cross comparison.
-func (s *Server) jobResponse(st sched.JobStatus, cached bool) JobResponse {
-	resp := baseJobResponse(st, cached)
-	s.crossMu.Lock()
-	resp.Cross = s.crossByJob[st.ID]
-	s.crossMu.Unlock()
-	return resp
-}
-
-func baseJobResponse(st sched.JobStatus, cached bool) JobResponse {
+func jobResponse(st sched.JobStatus, cached bool) JobResponse {
+	cross, _ := st.Meta.(*CrossPayload)
 	resp := JobResponse{
 		ID:        st.ID,
 		Name:      st.Name,
@@ -785,6 +772,7 @@ func baseJobResponse(st sched.JobStatus, cached bool) JobResponse {
 		Tiles:     st.Tiles,
 		Shards:    st.Shards,
 		DeviceIDs: st.DeviceIDs,
+		Cross:     cross,
 	}
 	resp.Band = st.Band.String()
 	resp.Tenant = st.Tenant
@@ -921,7 +909,7 @@ func (s *Server) submitRequestAs(req JobRequest, who tenant.Quota, parent trace.
 	}
 	name, cross := mat.name, mat.cross
 	id, err := s.sched.SubmitJob(mat.src, sched.JobOpts{
-		Name: name, Band: band, Tenant: who.Name, Trace: rec,
+		Name: name, Band: band, Tenant: who.Name, Trace: rec, Meta: cross,
 	})
 	if err != nil {
 		releaseSource(mat.src)
@@ -931,11 +919,6 @@ func (s *Server) submitRequestAs(req JobRequest, who tenant.Quota, parent trace.
 	s.trackJobPins(id, mat.pinned)
 	s.log.Info("job submitted", "job_id", id, "name", name, "form", requestForm(req),
 		"band", band.String(), "tenant", who.Name)
-	if cross != nil {
-		s.crossMu.Lock()
-		s.crossByJob[id] = cross
-		s.crossMu.Unlock()
-	}
 	if key != "" {
 		s.cache.put(key, id)
 	}
@@ -950,7 +933,7 @@ func (s *Server) submitRequestAs(req JobRequest, who tenant.Quota, parent trace.
 		s.spawn(func() { s.finishWhenDone(rec, persistKey, id, name, req, cross) })
 	}
 	st, _ := s.sched.Job(id)
-	resp := s.jobResponse(st, false)
+	resp := jobResponse(st, false)
 	resp.Degraded = mat.degraded
 	return submission{resp: resp, code: http.StatusAccepted, jobID: id, cross: cross}, nil
 }
@@ -1199,7 +1182,7 @@ func (s *Server) cachedResponse(key string) (JobResponse, bool) {
 		return JobResponse{}, false
 	}
 	if st, live := s.sched.Job(id); live && (st.State == sched.Done || !st.State.Terminal()) {
-		return s.jobResponse(st, true), true
+		return jobResponse(st, true), true
 	}
 	s.cache.drop(key)
 	return JobResponse{}, false
@@ -1229,7 +1212,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	jobs := s.sched.Jobs()
 	out := make([]JobResponse, len(jobs))
 	for i, st := range jobs {
-		out[i] = s.jobResponse(st, false)
+		out[i] = jobResponse(st, false)
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"jobs": out})
 }
@@ -1240,7 +1223,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusNotFound, sched.ErrNotFound)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.jobResponse(st, false))
+	writeJSON(w, http.StatusOK, jobResponse(st, false))
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -1254,7 +1237,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusInternalServerError, err)
 	default:
 		st, _ := s.sched.Job(r.PathValue("id"))
-		writeJSON(w, http.StatusOK, s.jobResponse(st, false))
+		writeJSON(w, http.StatusOK, jobResponse(st, false))
 	}
 }
 
